@@ -27,7 +27,6 @@ or as the CI smoke gate::
 """
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -35,6 +34,7 @@ import time
 from pathlib import Path
 
 from repro.bench import bench_manifest, build_platform, build_sharded_bench
+from repro.core import timeline_digest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
@@ -78,18 +78,6 @@ SEED_BASELINE = {
 SPEEDUP_TARGET = 2.0
 SHARDED_SPEEDUP_TARGET = 2.0
 CHECK_TOLERANCE = 1.25  # --check fails above 125% of the committed wall
-
-
-def timeline_digest(platform, docs):
-    """A stable fingerprint of everything the simulation decided."""
-    trace = [(round(r.time, 9), r.component, r.kind) for r in
-             platform.tracer.records]
-    histories = [
-        [(h["status"], round(h["time"], 9)) for h in doc["status_history"]]
-        for doc in docs
-    ]
-    blob = repr((trace, histories, round(platform.kernel.now, 9)))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def run_scenario(scenario, fast=True):

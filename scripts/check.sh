@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo gate: lint (when ruff is available) + the tier-1 test suite.
+# Repo gate: lint (when ruff is available), the tier-1 test suite, the
+# benchmark's own tests and the smoke gates.
 #
 # Usage: scripts/check.sh [extra pytest args...]
 set -euo pipefail
@@ -27,6 +28,9 @@ python scripts/lint_shared_state.py
 
 echo "== pytest (tier 1) =="
 PYTHONPATH=src python -m pytest -q "$@"
+
+echo "== perfbench self-tests =="
+python -m pytest -q perfbench/tests
 
 echo "== perf smoke gate =="
 PYTHONPATH=src python benchmarks/bench_perf.py --check

@@ -21,31 +21,16 @@ merge is identical for any worker count — asserted by
 test_shard_determinism.py``.
 """
 
-import hashlib
 from dataclasses import replace
 
 from ..grpcnet import Server
 from ..sim import Kernel, ShardedKernel, merged_digest
 from .platform import DlaasPlatform
+from .timeline import timeline_digest
 
 
 def federation_address(cell_id):
     return f"dlaas-federation-{cell_id}"
-
-
-def timeline_digest(platform, docs):
-    """The canonical fingerprint of everything one platform decided:
-    the full trace-record sequence, every job's status history, and the
-    final simulated clock. Shared by the perf bench and the sharded
-    merge so "bit-identical" means one thing everywhere."""
-    trace = [(round(r.time, 9), r.component, r.kind) for r in
-             platform.tracer.records]
-    histories = [
-        [(h["status"], round(h["time"], 9)) for h in doc["status_history"]]
-        for doc in docs or ()
-    ]
-    blob = repr((trace, histories, round(platform.kernel.now, 9)))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 class FederationService:

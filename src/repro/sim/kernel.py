@@ -81,7 +81,6 @@ class Kernel:
         self._sequence = 0
         self._seed = seed
         self._rngs = {}
-        self.processes = []
         # When True, components may attach human-readable names to
         # hot-path events/processes (RPC calls, channel gets). Off by
         # default: the f-string formatting alone is measurable at scale.
@@ -172,11 +171,12 @@ class Kernel:
         """Start a process from a generator; returns its :class:`Process`.
 
         The process begins executing at the current simulated instant
-        (not synchronously inside this call).
+        (not synchronously inside this call). The kernel holds no
+        reference to a process once it has finished, so a finished
+        process and its return value live only as long as the caller's
+        handle or a waiter does.
         """
-        process = Process(self, generator, name=name)
-        self.processes.append(process)
-        return process
+        return Process(self, generator, name=name)
 
     # ------------------------------------------------------------------
     # Randomness

@@ -10,6 +10,7 @@ evaluation then treats the series as absent instead of acting forever
 on its last value, exactly Prometheus' staleness semantics.
 """
 
+import math
 from collections import deque
 
 
@@ -35,8 +36,16 @@ class TimeSeries:
         return dict(self.labels)
 
     def add(self, time, value):
+        """Append a sample; ``time`` must not precede the last sample's
+        (equal times are fine: a marker or recording rule writes at
+        ``now``). Trimming and :meth:`window` rely on this order."""
+        samples = self.samples
+        if samples and time < samples[-1][0]:
+            raise ValueError(
+                f"{self!r}: sample at {time} precedes the last one at "
+                f"{samples[-1][0]}")
         self._trim(time)
-        self.samples.append((time, value))
+        samples.append((time, value))
 
     def mark_stale(self, time):
         """Record that the series stopped being observed at ``time``."""
@@ -70,9 +79,23 @@ class TimeSeries:
         return value
 
     def window(self, start, end=None):
-        """Real samples with ``start <= time <= end`` (markers skipped)."""
-        return [(t, v) for t, v in self.samples
-                if v is not None and t >= start and (end is None or t <= end)]
+        """Real samples with ``start <= time <= end`` (markers skipped).
+
+        Walks back from the newest sample and stops at the first one
+        older than ``start``, so a read costs the samples at or after
+        ``start``, not the whole ring.
+        """
+        if end is None:
+            end = math.inf
+        out = []
+        for sample in reversed(self.samples):
+            t = sample[0]
+            if t < start:
+                break
+            if t <= end and sample[1] is not None:
+                out.append(sample)
+        out.reverse()
+        return out
 
     def values(self):
         return [v for _t, v in self.samples if v is not None]

@@ -1,5 +1,8 @@
 """Unit tests for the simulation kernel, events and processes."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -398,3 +401,34 @@ class TestEventEdgeCases:
         process = kernel.spawn(slow())
         with pytest.raises(SimError, match="did not finish"):
             kernel.run_until_complete(process, limit=10.0)
+
+
+class TestProcessRetention:
+    def test_finished_processes_are_not_retained(self, kernel):
+        """The kernel drops every process once it finishes; only the
+        caller's handles keep one (and its return value) alive."""
+
+        def worker(i):
+            yield kernel.sleep(i % 7 * 0.5)
+            return [i] * 16
+
+        def joiner(child):
+            return (yield child)
+
+        def sleeper():
+            yield kernel.sleep(1000.0)
+
+        processes = [kernel.spawn(worker(i)) for i in range(3000)]
+        processes += [kernel.spawn(joiner(p)) for p in processes[:500]]
+        killed = [kernel.spawn(sleeper()) for _ in range(200)]
+        processes += killed
+        kernel.run(until=5.0)
+        for victim in killed:
+            victim.kill("done")
+        kernel.run()
+        assert all(not process.alive for process in processes)
+
+        refs = [weakref.ref(process) for process in processes]
+        del processes, killed, victim
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []

@@ -1,5 +1,8 @@
 """Unit tests for the bounded time-series store (scrape storage)."""
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.sim.timeseries import TimeSeries, TimeSeriesStore, canonical_labels
 
 
@@ -59,6 +62,53 @@ class TestTimeSeries:
         for t in (1.0, 2.0, 3.0, 4.0):
             series.add(t, t * 10)
         assert series.window(2.0, 3.0) == [(2.0, 20.0), (3.0, 30.0)]
+
+    def test_add_rejects_out_of_order_sample(self):
+        series = TimeSeries("x")
+        series.add(2.0, 1.0)
+        series.mark_stale(2.0)  # equal times are allowed
+        with pytest.raises(ValueError, match="precedes"):
+            series.add(1.5, 2.0)
+        assert series.latest() == (2.0, None)
+
+
+# Non-decreasing series: each step advances time by one of a few
+# gaps (0 makes ties) and writes a value or a staleness marker.
+steps = st.lists(
+    st.tuples(st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]),
+              st.one_of(st.none(), st.integers(-5, 5).map(float))),
+    max_size=40)
+
+
+def _bounds(times):
+    """A query bound: any time around the series, or exactly a sample's."""
+    around = st.floats(-5.0, (times[-1] if times else 0.0) + 5.0)
+    return st.one_of(around, st.sampled_from(times)) if times else around
+
+
+class TestWindowProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(steps=steps,
+           retention=st.sampled_from([0.0, 1.0, 3.0, 600.0]),
+           max_samples=st.integers(1, 12),
+           data=st.data())
+    def test_window_matches_full_scan(self, steps, retention, max_samples,
+                                      data):
+        series = TimeSeries("x", retention=retention, max_samples=max_samples)
+        now = 0.0
+        for gap, value in steps:
+            now += gap
+            series.add(now, value)
+        samples = list(series.samples)
+        times = [t for t, _v in samples]
+        for _ in range(4):
+            start = data.draw(_bounds(times))
+            end = data.draw(st.one_of(st.none(), st.just(start),
+                                      _bounds(times)))
+            expected = [(t, v) for t, v in samples
+                        if v is not None and t >= start
+                        and (end is None or t <= end)]
+            assert series.window(start, end) == expected
 
 
 class TestCanonicalLabels:
