@@ -1,4 +1,4 @@
-.PHONY: check test lint bench perf perf-sharded perf-scale perf-serving perf-gray perf-audit audit profile
+.PHONY: check test lint bench perf perf-scale perf-serving perf-gray perf-audit audit profile
 
 check:
 	scripts/check.sh
@@ -14,9 +14,6 @@ bench:
 
 perf:
 	PYTHONPATH=src python benchmarks/bench_perf.py
-
-perf-sharded:
-	PYTHONPATH=src python benchmarks/bench_perf.py --sharded
 
 perf-scale:
 	PYTHONPATH=src python benchmarks/bench_scalability.py

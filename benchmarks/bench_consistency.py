@@ -39,7 +39,8 @@ import bench_perf
 
 from repro.audit import check_history, render_witness
 from repro.audit.nemesis import NemesisSoak, seeded_stale_read_scenario
-from repro.bench import bench_manifest, build_platform, render_table
+from repro.bench import build_platform, drive_jobs, render_table
+from repro.core import timeline_digest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
@@ -115,9 +116,8 @@ def run_seeded_bug(seed=5):
 
 def run_digest_identity():
     """The training smoke scenario with recording ON must replay the
-    committed smoke digest bit for bit. ``bench_perf.run_scenario``
-    takes no config overrides, so the drive loop is replicated here
-    verbatim on a ``history_recording=True`` platform."""
+    committed smoke digest bit for bit: the shared job loop, on a
+    ``history_recording=True`` platform."""
     committed = (json.loads(RESULT_PATH.read_text())
                  if RESULT_PATH.exists() else {})
     expected = committed.get("smoke", {}).get("digest")
@@ -127,24 +127,8 @@ def run_digest_identity():
         gpu_nodes=scenario["gpu_nodes"], seed=scenario["seed"],
         history_recording=True,
     )
-    client = platform.client("perf")
-
-    def drive():
-        ids = []
-        for i in range(scenario["jobs"]):
-            manifest = bench_manifest("resnet50", "tensorflow", 2, "k80",
-                                      steps=scenario["steps"])
-            manifest["name"] = f"perf-{i}"
-            ids.append((yield from client.submit(manifest)))
-        docs = []
-        for job_id in ids:
-            docs.append((yield from client.wait_for_status(
-                job_id, timeout=100_000)))
-        return docs
-
-    docs = platform.run_process(drive(), limit=500_000)
-    platform.run_for(30.0)
-    measured = bench_perf.timeline_digest(platform, docs)
+    docs = drive_jobs(platform, scenario["jobs"], steps=scenario["steps"])
+    measured = timeline_digest(platform, docs)
     auditor = platform.monitoring.auditor
     return {
         "expected": expected,

@@ -14,7 +14,10 @@ and once with every optimization switched off via
    scenario).
 3. **Regression gate** (``--check``): a small smoke scenario must not
    regress more than 25% against the wall time committed in
-   ``BENCH_perf.json``.
+   ``BENCH_perf.json``, and must reproduce its committed digest.
+
+Both scenarios are driven by the one job loop in
+``repro.bench.scale_runner`` (single partition, single tenant).
 
 Invoke directly for the full measurement (writes ``BENCH_perf.json``
 at the repo root)::
@@ -28,13 +31,10 @@ or as the CI smoke gate::
 
 import argparse
 import json
-import os
 import sys
-import time
 from pathlib import Path
 
-from repro.bench import bench_manifest, build_platform, build_sharded_bench
-from repro.core import timeline_digest
+from repro.bench import run_scale_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = REPO_ROOT / "BENCH_perf.json"
@@ -43,24 +43,6 @@ SCENARIO = {"jobs": 24, "seed": 2, "steps": 60, "gpus_per_node": 4,
             "gpu_nodes": 8}
 SMOKE = {"jobs": 6, "seed": 2, "steps": 30, "gpus_per_node": 4,
          "gpu_nodes": 4}
-
-# Sharded-kernel measurement (repro.core.sharded): the same workload
-# shape at 128 jobs, run once on a single kernel (the PR-5 fast path)
-# and once partitioned into 4 platform cells — identical aggregate
-# GPU capacity — on 1 worker and on 4 multiprocessing workers. The
-# merged timeline must be identical for every worker count
-# (unconditional gate); the 4-worker run must additionally beat the
-# single-kernel run by ``SHARDED_SPEEDUP_TARGET`` — gated only when
-# the machine has at least as many CPUs as cells, because the window
-# protocol parallelizes compute, not the lockstep: on fewer cores the
-# workers time-slice one core and the barrier overhead is all that is
-# measured.
-SHARDED_SCENARIO = {"jobs": 128, "seed": 2, "steps": 60,
-                    "gpus_per_node": 4, "gpu_nodes": 8}
-SHARDED_CELLS = 4
-SHARDED_SMOKE = {"jobs": 6, "seed": 2, "steps": 30, "gpus_per_node": 4,
-                 "gpu_nodes": 4}
-SHARDED_SMOKE_CELLS = 2
 
 # The pre-optimization tree (commit 4155122) driving the identical
 # 24-job scenario on the reference machine, events counted by wrapping
@@ -76,112 +58,20 @@ SEED_BASELINE = {
 }
 
 SPEEDUP_TARGET = 2.0
-SHARDED_SPEEDUP_TARGET = 2.0
 CHECK_TOLERANCE = 1.25  # --check fails above 125% of the committed wall
+
+# The scale-row keys a run_scenario row reports.
+ROW_KEYS = ("jobs", "completed", "wall_s", "sim_s", "events_processed",
+            "events_per_sec", "jobs_per_sec", "timers_cancelled",
+            "dead_entries_skipped", "dead_entry_ratio", "digest")
 
 
 def run_scenario(scenario, fast=True):
     """One measured run; returns wall time, rates, and the digest."""
-    platform = build_platform(
-        "k80", gpus_per_node=scenario["gpus_per_node"],
-        gpu_nodes=scenario["gpu_nodes"], seed=scenario["seed"],
-        sim_fast_path=fast,
-    )
-    client = platform.client("perf")
-    jobs = scenario["jobs"]
-
-    def drive():
-        ids = []
-        for i in range(jobs):
-            manifest = bench_manifest("resnet50", "tensorflow", 2, "k80",
-                                      steps=scenario["steps"])
-            manifest["name"] = f"perf-{i}"
-            ids.append((yield from client.submit(manifest)))
-        docs = []
-        for job_id in ids:
-            docs.append((yield from client.wait_for_status(job_id,
-                                                           timeout=100_000)))
-        return docs
-
-    start = time.perf_counter()
-    docs = platform.run_process(drive(), limit=500_000)
-    platform.run_for(30.0)
-    wall = time.perf_counter() - start
-
-    kernel = platform.kernel
-    completed = sum(1 for d in docs if d["status"] == "COMPLETED")
-    return {
-        "mode": "fast" if fast else "slow",
-        "jobs": jobs,
-        "completed": completed,
-        "wall_s": round(wall, 3),
-        "sim_s": round(kernel.now, 3),
-        "events_processed": kernel.events_processed,
-        "events_per_sec": round(kernel.events_processed / wall, 1),
-        "jobs_per_sec": round(jobs / wall, 3),
-        "timers_cancelled": kernel.timers_cancelled,
-        "dead_entries_skipped": kernel.dead_entries_skipped,
-        "dead_entry_ratio": round(kernel.dead_entry_ratio, 6),
-        "digest": timeline_digest(platform, docs),
-    }
-
-
-def run_sharded(scenario, cells, workers, executor="process"):
-    """One measured sharded run; returns wall time, digest, stats."""
-    start = time.perf_counter()
-    sharded = build_sharded_bench(scenario, cells).run(
-        workers=workers, executor=executor)
-    wall = time.perf_counter() - start
-    results = sharded.results
-    return {
-        "cells": cells,
-        "workers": workers,
-        "jobs": scenario["jobs"],
-        "completed": sum(r["completed"] for r in results),
-        "wall_s": round(wall, 3),
-        "sim_s": round(max(r["now"] for r in results), 3),
-        "events_processed": sum(r["events_processed"] for r in results),
-        "jobs_per_sec": round(scenario["jobs"] / wall, 3),
-        "digest": sharded.digest,
-        "stats": sharded.stats,
-    }
-
-
-def run_sharded_full(fast_digest):
-    """Plain vs sharded on the 128-job scenario, plus the smoke rows
-    and the cells=1 bit-identity check against ``fast_digest`` (the
-    single-kernel fast-path digest of the 24-job scenario)."""
-    plain = run_scenario(SHARDED_SCENARIO, fast=True)
-    sequential = run_sharded(SHARDED_SCENARIO, SHARDED_CELLS, workers=1)
-    parallel = run_sharded(SHARDED_SCENARIO, SHARDED_CELLS,
-                           workers=SHARDED_CELLS)
-    cells1 = build_sharded_bench(SCENARIO, cells=1).run(executor="inline")
-    smoke_seq = run_sharded(SHARDED_SMOKE, SHARDED_SMOKE_CELLS, workers=1)
-    smoke_par = run_sharded(SHARDED_SMOKE, SHARDED_SMOKE_CELLS,
-                            workers=SHARDED_SMOKE_CELLS)
-    return {
-        "scenario": {**SHARDED_SCENARIO, "cells": SHARDED_CELLS},
-        "cpus": os.cpu_count(),
-        "plain": {key: plain[key] for key in
-                  ("wall_s", "sim_s", "events_processed", "digest")},
-        "workers_1": sequential,
-        "workers_n": parallel,
-        "timelines_identical": sequential["digest"] == parallel["digest"],
-        # single-cell sharding is the unsharded platform, bit for bit
-        "cells1_bit_identical": cells1.results[0]["digest"] == fast_digest,
-        "speedup_vs_plain": round(plain["wall_s"] / parallel["wall_s"], 2),
-        "parallel_speedup": round(
-            sequential["wall_s"] / parallel["wall_s"], 2),
-        "smoke": {
-            "scenario": {**SHARDED_SMOKE, "cells": SHARDED_SMOKE_CELLS},
-            "workers_1": {"wall_s": smoke_seq["wall_s"],
-                          "digest": smoke_seq["digest"]},
-            "workers_n": {"wall_s": smoke_par["wall_s"],
-                          "digest": smoke_par["digest"]},
-            "timelines_identical":
-                smoke_seq["digest"] == smoke_par["digest"],
-        },
-    }
+    row = run_scale_scenario(partitions=1, tenants=1, sim_fast_path=fast,
+                             **scenario)
+    return {"mode": "fast" if fast else "slow",
+            **{key: row[key] for key in ROW_KEYS}}
 
 
 def run_full():
@@ -205,7 +95,6 @@ def run_full():
         "smoke": {"scenario": SMOKE, "wall_s": smoke["wall_s"],
                   "events_per_sec": smoke["events_per_sec"],
                   "digest": smoke["digest"]},
-        "sharded": run_sharded_full(fast["digest"]),
     }
 
 
@@ -219,77 +108,32 @@ def assert_full(result):
     assert result["speedup_events_per_sec"] >= SPEEDUP_TARGET, (
         f"events/sec speedup {result['speedup_events_per_sec']}x over the "
         f"seed baseline is below the {SPEEDUP_TARGET}x target")
-    assert_sharded(result["sharded"])
     return result
 
 
-def assert_sharded(sharded):
-    for row in (sharded["workers_1"], sharded["workers_n"]):
-        assert row["completed"] == row["jobs"], row
-    assert sharded["timelines_identical"], (
-        "worker count changed the merged timeline: "
-        f"{sharded['workers_1']['digest']} != "
-        f"{sharded['workers_n']['digest']}")
-    assert sharded["smoke"]["timelines_identical"], sharded["smoke"]
-    assert sharded["cells1_bit_identical"], (
-        "a 1-cell sharded run must replay the unsharded platform "
-        "bit for bit")
-    cells = sharded["scenario"]["cells"]
-    if (sharded["cpus"] or 1) >= cells:
-        assert sharded["speedup_vs_plain"] >= SHARDED_SPEEDUP_TARGET, (
-            f"sharded speedup {sharded['speedup_vs_plain']}x over the "
-            f"single-kernel fast path is below the "
-            f"{SHARDED_SPEEDUP_TARGET}x target")
-    else:
-        print(f"sharded wall-clock gate skipped: {sharded['cpus']} CPU(s) "
-              f"< {cells} cells (determinism gates still enforced)")
-    return sharded
-
-
 def run_check():
-    """CI smoke gate: small scenarios vs the committed baselines —
-    the plain fast path plus the sharded 1-worker and N-worker paths
-    (any of the three regressing more than 25% fails)."""
+    """CI smoke gate: the small scenario vs the committed baseline.
+    Fails when the wall regresses more than 25% or the timeline
+    digest drifts."""
     if not RESULT_PATH.exists():
         print(f"error: {RESULT_PATH} missing; run the full bench first",
               file=sys.stderr)
         return 2
-    committed = json.loads(RESULT_PATH.read_text())
+    committed = json.loads(RESULT_PATH.read_text())["smoke"]
     failed = False
 
-    baseline = committed["smoke"]["wall_s"]
+    baseline = committed["wall_s"]
     measured = run_scenario(SMOKE, fast=True)
     limit = baseline * CHECK_TOLERANCE
     status = "ok" if measured["wall_s"] <= limit else "REGRESSION"
     failed |= status != "ok"
     print(f"perf smoke: wall={measured['wall_s']}s baseline={baseline}s "
           f"limit={round(limit, 3)}s [{status}]")
-    if measured["digest"] != committed["smoke"]["digest"]:
-        print("perf smoke: WARNING timeline digest drifted from baseline "
-              "(expected after any scheduling-visible change; rerun the "
-              "full bench to refresh BENCH_perf.json)")
-
-    sharded_smoke = committed.get("sharded", {}).get("smoke")
-    if sharded_smoke is None:
-        print("perf smoke: WARNING no committed sharded smoke; rerun the "
-              "full bench to refresh BENCH_perf.json")
-        return 1 if failed else 0
-    rows = (("workers_1", 1),
-            ("workers_n", SHARDED_SMOKE_CELLS))
-    digests = {}
-    for key, workers in rows:
-        run = run_sharded(SHARDED_SMOKE, SHARDED_SMOKE_CELLS,
-                          workers=workers)
-        digests[key] = run["digest"]
-        baseline = sharded_smoke[key]["wall_s"]
-        limit = baseline * CHECK_TOLERANCE
-        status = "ok" if run["wall_s"] <= limit else "REGRESSION"
-        failed |= status != "ok"
-        print(f"perf smoke sharded/{key}: wall={run['wall_s']}s "
-              f"baseline={baseline}s limit={round(limit, 3)}s [{status}]")
-    if len(set(digests.values())) != 1:
-        print("perf smoke sharded: FAIL worker count changed the merged "
-              f"timeline: {digests}", file=sys.stderr)
+    if measured["digest"] != committed["digest"]:
+        print(f"perf smoke: FAIL timeline digest {measured['digest']} != "
+              f"committed {committed['digest']} (rerun the full bench "
+              "only after an intended scheduling-visible change)",
+              file=sys.stderr)
         failed = True
     return 1 if failed else 0
 
@@ -306,22 +150,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
                         help="smoke gate against committed BENCH_perf.json")
-    parser.add_argument("--sharded", action="store_true",
-                        help="re-measure only the sharded section and "
-                             "update it in BENCH_perf.json")
     args = parser.parse_args(argv)
     if args.check:
         return run_check()
-    if args.sharded:
-        fast = run_scenario(SCENARIO, fast=True)
-        sharded = assert_sharded(run_sharded_full(fast["digest"]))
-        result = (json.loads(RESULT_PATH.read_text())
-                  if RESULT_PATH.exists() else {})
-        result["sharded"] = sharded
-        RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
-        print(json.dumps(sharded, indent=2))
-        print(f"updated sharded section of {RESULT_PATH}")
-        return 0
     result = assert_full(run_full())
     RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))

@@ -1,14 +1,14 @@
 #!/usr/bin/env python
 """Lint: no module-level mutable state in the kernel or RPC fabric.
 
-The sharded kernel (``repro.sim.shard``) runs any number of
-:class:`Kernel` instances side by side — interleaved in one process or
-forked onto multiprocessing workers — and merges their timelines
-deterministically. That only holds if *every* piece of simulation
-state is owned by an instance: a module-level dict of timers, a
-class-attribute registry of channels, or a global counter would be
-silently shared between shards (or, worse, diverge between the inline
-and forked executors) and corrupt the merge.
+Many :class:`Kernel` instances are built back to back in one process:
+the benchmark's repeated iterations, the scenario benches and the
+test suite each construct kernel after kernel. A run is only
+reproducible if *every* piece of simulation state is owned by an
+instance: a module-level dict of timers, a class-attribute registry
+of channels, or a global counter would silently carry one run's state
+into the next, so the same seed would give a different timeline
+depending on what ran before it.
 
 This lint enforces the rule structurally for ``src/repro/sim/`` and
 ``src/repro/grpcnet/``: no assignment at module or class scope may
@@ -92,7 +92,7 @@ def check_scope(body, path, scope, violations):
         violations.append(
             f"{path.relative_to(ROOT)}:{node.lineno}: mutable "
             f"{type(value).__name__.lower()} bound at {scope} scope "
-            f"({label}); shard isolation requires instance-owned state")
+            f"({label}); back-to-back kernels require instance-owned state")
 
 
 def check_file(path):

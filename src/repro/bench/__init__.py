@@ -28,26 +28,20 @@ from .figures import (
     guardian_creation_rows,
 )
 from .platform_runner import bench_manifest, build_platform, measure_dlaas
-from .scale_runner import partition_overrides, run_scale_scenario
+from .scale_runner import drive_jobs, partition_overrides, run_scale_scenario
 from .reporting import render_table, shape_check
-from .sharded_runner import (
-    bench_cell_driver,
-    build_sharded_bench,
-    run_sharded_scenario,
-)
 
 __all__ = [
     "FIG2_PAPER",
     "FIG3_PAPER",
     "FIG4_PAPER",
     "atomic_deploy_rows",
-    "bench_cell_driver",
     "bench_manifest",
     "build_config",
     "build_platform",
-    "build_sharded_bench",
     "checkpoint_tradeoff_rows",
     "dgx1_config",
+    "drive_jobs",
     "etcd_vs_direct_rows",
     "fig2_rows",
     "fig3_rows",
@@ -60,7 +54,6 @@ __all__ = [
     "partition_overrides",
     "render_table",
     "run_scale_scenario",
-    "run_sharded_scenario",
     "scheduler_rows",
     "shape_check",
 ]

@@ -1,20 +1,21 @@
-"""Sharded control-plane scale runs (jobs x partitions x tenants).
+"""The one scenario driver: ``jobs`` concurrent training submissions.
 
-One entry point, :func:`run_scale_scenario`, drives ``jobs`` concurrent
-submissions through a platform whose control plane is split into
-``partitions``:
+:func:`drive_jobs` is the job loop every scenario bench shares: submit
+``jobs`` identical ResNet-50 jobs round-robin over ``tenants`` client
+tokens, wait for each to finish, then idle 30 simulated seconds. The
+perf smoke (``benchmarks/bench_perf.py``), the consistency digest
+check and the scale runs all drive it, so one seed gives one timeline
+and one digest across them.
+
+:func:`run_scale_scenario` measures one run of it on a platform whose
+control plane is split into ``partitions``:
 
 * ``partitions == 1`` builds the *stock, unsharded* platform — not a
-  one-slice sharded one — so its timeline is bit-identical to the
-  plain perf scenarios and anchors every comparison;
-* ``partitions > 1`` turns on the whole sharded stack: that many LCM
-  replicas leasing job-id slices, consistent-hash routing at the API
-  balancer, and a sharded docstore.
-
-The tenant mix fans submissions round-robin over ``tenants`` client
-tokens. With ``tenants == 1`` the driver is event-for-event identical
-to ``bench_perf.run_scenario`` (same token, names, waits), which is
-what makes the cross-benchmark digest check possible.
+  one-slice sharded one — so its timeline is the plain perf
+  scenario's and anchors every comparison;
+* ``partitions > 1`` turns on the whole sharded control plane: that
+  many LCM replicas leasing job-id slices, consistent-hash routing at
+  the API balancer, and a sharded docstore.
 """
 
 import time
@@ -59,14 +60,13 @@ def guardian_latencies(platform):
     return sorted(latencies)
 
 
-def run_scale_scenario(jobs, partitions, tenants=1, seed=2, steps=60,
-                       gpus_per_node=4, gpu_nodes=8, gpus_per_job=2,
-                       **config_overrides):
-    """One measured run; returns the scale-table row."""
-    overrides = partition_overrides(partitions)
-    overrides.update(config_overrides)
-    platform = build_platform("k80", gpus_per_node=gpus_per_node,
-                              gpu_nodes=gpu_nodes, seed=seed, **overrides)
+def drive_jobs(platform, jobs, tenants=1, steps=60, gpus_per_job=2):
+    """Run the job loop on ``platform``, then 30 simulated seconds of
+    settle; return the final job docs.
+
+    With ``tenants == 1`` every job goes through the single ``perf``
+    token; otherwise submissions fan out over ``tenant-<t>`` tokens.
+    """
     tokens = (["perf"] if tenants <= 1
               else [f"tenant-{t}" for t in range(tenants)])
     clients = {token: platform.client(token) for token in tokens}
@@ -86,9 +86,22 @@ def run_scale_scenario(jobs, partitions, tenants=1, seed=2, steps=60,
                 job_id, timeout=100_000)))
         return docs
 
-    start = time.perf_counter()
     docs = platform.run_process(drive(), limit=event_limit(jobs))
     platform.run_for(30.0)
+    return docs
+
+
+def run_scale_scenario(jobs, partitions, tenants=1, seed=2, steps=60,
+                       gpus_per_node=4, gpu_nodes=8, gpus_per_job=2,
+                       **config_overrides):
+    """One measured run; returns the scale-table row."""
+    overrides = partition_overrides(partitions)
+    overrides.update(config_overrides)
+    platform = build_platform("k80", gpus_per_node=gpus_per_node,
+                              gpu_nodes=gpu_nodes, seed=seed, **overrides)
+
+    start = time.perf_counter()
+    docs = drive_jobs(platform, jobs, tenants, steps, gpus_per_job)
     wall = time.perf_counter() - start
 
     kernel = platform.kernel
@@ -109,6 +122,9 @@ def run_scale_scenario(jobs, partitions, tenants=1, seed=2, steps=60,
         "events_processed": kernel.events_processed,
         "events_per_sec": round(kernel.events_processed / wall, 1),
         "jobs_per_sec": round(jobs / wall, 3),
+        "timers_cancelled": kernel.timers_cancelled,
+        "dead_entries_skipped": kernel.dead_entries_skipped,
+        "dead_entry_ratio": round(kernel.dead_entry_ratio, 6),
         "guardian_p50_s": round(pct(0.50), 3),
         "guardian_p95_s": round(pct(0.95), 3),
         "guardian_max_s": round(latencies[-1], 3) if latencies else 0.0,

@@ -175,18 +175,6 @@ class PlatformConfig:
     network_latency: float = 0.0008
     network_jitter: float = 0.0006
 
-    # Sharded deployment (repro.core.sharded.ShardedPlatform): number
-    # of platform cells, each a full control plane on its own kernel
-    # shard owning a slice of the job space. 1 = today's single-cell
-    # platform on one kernel — bit-identical, no shard machinery is
-    # even constructed. Cross-cell traffic (federation RPCs) rides
-    # boundary messages whose latency floor is ``shard_link_latency``;
-    # that floor is also the conservative-lookahead window of the
-    # sharded kernel, so raising it buys bigger parallel windows at the
-    # price of staler federation state.
-    shards: int = 1
-    shard_link_latency: float = 0.25
-
     # Sharded control plane (ISSUE 10): every knob defaults to the
     # unsharded platform, and with the defaults none of the sharding
     # machinery runs a single extra simulation event — the timeline is
@@ -238,11 +226,6 @@ class DlaasPlatform:
 
     def __init__(self, kernel=None, config=None, seed=0):
         self.config = config or PlatformConfig()
-        if self.config.shards > 1:
-            raise ValueError(
-                f"PlatformConfig(shards={self.config.shards}) needs the "
-                "partitioned assembly — use repro.core.sharded."
-                "ShardedPlatform; DlaasPlatform is one cell")
         self.kernel = kernel or Kernel(
             seed=seed, timer_cancellation=self.config.sim_fast_path)
         self.tracer = Tracer(self.kernel,

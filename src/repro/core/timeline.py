@@ -66,9 +66,9 @@ def render_timeline(entries, limit=None):
 def timeline_digest(platform, docs):
     """The canonical fingerprint of everything one platform decided:
     the full trace-record sequence, every job's status history, and the
-    final simulated clock. The perf benches, the scale runner and the
-    sharded merge all call this one definition, so "bit-identical"
-    means one thing everywhere."""
+    final simulated clock. The scale runner, the scenario benches and
+    perfbench all call this one definition, so "bit-identical" means
+    one thing everywhere."""
     trace = [(round(r.time, 9), r.component, r.kind) for r in
              platform.tracer.records]
     histories = [

@@ -14,13 +14,6 @@ from .kernel import Kernel
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .process import Process
 from .reconciler import Reconciler, WatchSource, WorkQueue
-from .shard import (
-    BoundaryMessage,
-    ShardPort,
-    ShardSlot,
-    ShardedKernel,
-    merged_digest,
-)
 from .timeseries import TimeSeries, TimeSeriesStore
 from .tracing import (
     NULL_SPAN,
@@ -37,7 +30,6 @@ from .tracing import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "BoundaryMessage",
     "Channel",
     "ChannelClosed",
     "Counter",
@@ -52,9 +44,6 @@ __all__ = [
     "Process",
     "ProcessKilled",
     "Reconciler",
-    "ShardPort",
-    "ShardSlot",
-    "ShardedKernel",
     "SimError",
     "SimTimeout",
     "Span",
@@ -67,7 +56,6 @@ __all__ = [
     "WorkQueue",
     "extract_context",
     "inject_context",
-    "merged_digest",
     "render_critical_path",
     "render_span_tree",
 ]

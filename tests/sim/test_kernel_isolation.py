@@ -1,10 +1,11 @@
-"""Kernel instances never share state (the sharding prerequisite).
+"""Kernel instances never share state, so back-to-back runs repeat.
 
 Regression tests for the per-instance ownership rules: perf counters,
 timer-cancellation accounting, the debug flag, and
 ``run_until_complete`` deadlines must all be scoped to one
 :class:`Kernel` — two scenarios back-to-back in one process start from
-zero each time.
+zero each time. Benchmark iterations and the test suite build many
+kernels in one process and rely on this.
 """
 
 import pytest
