@@ -136,14 +136,6 @@ class PlatformConfig:
     audit_interval: float = 5.0  # seconds between auditor passes
     audit_max_configs: int = 200_000  # checker search budget per key
 
-    # Simulator fast path. On: cancellable timers with lazy heap
-    # deletion, indexed docstore queries, and copy-elided reads behind
-    # the Mongo servers' single send-boundary copy. Off replays the
-    # unoptimized code paths; either way the simulated timeline is
-    # bit-identical (asserted by tests/integration/test_fast_path_
-    # equivalence.py), so the flag exists only for equivalence testing
-    # and before/after benchmarking.
-    sim_fast_path: bool = True
     # Debug assertion that no RPC handler mutates a request in place
     # (the contract that makes reference-passing payloads sound).
     rpc_debug_freeze: bool = False
@@ -226,8 +218,7 @@ class DlaasPlatform:
 
     def __init__(self, kernel=None, config=None, seed=0):
         self.config = config or PlatformConfig()
-        self.kernel = kernel or Kernel(
-            seed=seed, timer_cancellation=self.config.sim_fast_path)
+        self.kernel = kernel or Kernel(seed=seed)
         self.tracer = Tracer(self.kernel,
                              span_tracing=self.config.span_tracing)
         self.metrics = MetricsRegistry()
@@ -270,15 +261,13 @@ class DlaasPlatform:
 
             self.mongo_shard_set = MongoShardSet(
                 self.kernel, self.network, shards=self.config.mongo_shards,
-                size=self.config.mongo_size, events=self.events,
-                fast_path=self.config.sim_fast_path)
+                size=self.config.mongo_size, events=self.events)
             self.mongo = self.mongo_shard_set.shards[0]
         else:
             self.mongo_shard_set = None
             self.mongo = MongoReplicaSet(self.kernel, self.network,
                                          size=self.config.mongo_size,
-                                         events=self.events,
-                                         fast_path=self.config.sim_fast_path)
+                                         events=self.events)
         self.tokens = TokenRegistry()
         self.api_balancer = LoadBalancer("dlaas-api",
                                          ring=self.config.api_ring_routing)

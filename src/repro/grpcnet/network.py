@@ -72,8 +72,8 @@ class _DeadlineCall(Event):
 
     def _on_process(self, process):
         if self.state is not PENDING:
-            return
-        self._timer.cancel()  # lazy heap deletion; no-op on the slow path
+            return  # the deadline fired first and already failed the call
+        self._timer.cancel()  # lazy heap deletion; no-op once it fired
         if process.state == "failed":
             self.fail(process.exception)
         else:
@@ -81,7 +81,9 @@ class _DeadlineCall(Event):
 
     def _on_timer(self, _timer):
         if self.state is not PENDING:
-            return  # the call finished first (slow path: timer still fires)
+            # The call settled first. A timer that fired in that same
+            # instant is past cancelling: its dispatch is already queued.
+            return
         self._process.kill("deadline exceeded")
         self.fail(DeadlineExceeded(
             f"{self._address}/{self._method} after {self._deadline}s"))

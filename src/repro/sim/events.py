@@ -80,11 +80,9 @@ class Event:
         callbacks are dropped.
 
         Only the exclusive owner of an event may cancel it — a waiter
-        added later would never wake. No-op once triggered, and when the
-        kernel runs with ``timer_cancellation=False`` (the bit-compatible
-        slow path used by the timeline-equivalence tests).
+        added later would never wake. No-op once triggered.
         """
-        if self.state is PENDING and self._kernel._timer_cancellation:
+        if self.state is PENDING:
             self.state = CANCELLED
             self._callbacks = None
 
@@ -131,14 +129,22 @@ class Event:
         return f"<Event {self.name!r} {self.state}>"
 
 
+def _detach(composite, settled):
+    """Unhook a triggered AnyOf/AllOf from its still-pending children
+    other than ``settled``, so a long-lived child (a watch, a stop
+    event) never accumulates dead callbacks across races."""
+    on_child = composite._on_child
+    for other in composite.events:
+        if other is not settled and other.state is PENDING:
+            other.remove_callback(on_child)
+
+
 class AnyOf(Event):
     """Succeeds when any child event triggers.
 
     The value is a ``(event, value)`` pair for the first child that
     triggered. A failing child fails the composite. On first trigger the
-    composite detaches its callback from the losing children, so a
-    long-lived loser (a watch, a stop event) does not accumulate dead
-    callbacks across races.
+    composite detaches its callback from the losing children.
     """
 
     __slots__ = ("events",)
@@ -158,11 +164,7 @@ class AnyOf(Event):
             self.fail(event.exception)
         else:
             self.succeed((event, event.value))
-        if self._kernel._timer_cancellation:
-            on_child = self._on_child
-            for other in self.events:
-                if other is not event and other.state is PENDING:
-                    other.remove_callback(on_child)
+        _detach(self, event)
 
 
 class AllOf(Event):
@@ -192,11 +194,7 @@ class AllOf(Event):
             return
         if event.state is FAILED:
             self.fail(event.exception)
-            if self._kernel._timer_cancellation:
-                on_child = self._on_child
-                for other in self.events:
-                    if other is not event and other.state is PENDING:
-                        other.remove_callback(on_child)
+            _detach(self, event)
             return
         self._remaining -= 1
         if self._remaining == 0:

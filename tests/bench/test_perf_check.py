@@ -1,4 +1,5 @@
-"""The perf smoke gate (``bench_perf.py --check``) fails on digest drift."""
+"""``bench_perf.py``: the smoke gate (``--check``) fails on digest drift,
+and the full run updates only its own keys of ``BENCH_perf.json``."""
 
 import importlib.util
 import json
@@ -33,3 +34,17 @@ def test_smoke_gate_checks_the_digest(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(bench_perf, "RESULT_PATH", result_path)
     assert bench_perf.run_check() == expected
     assert ("FAIL timeline digest" in capsys.readouterr().err) == bool(expected)
+
+
+def test_full_run_keeps_other_benches_sections(tmp_path, monkeypatch):
+    bench_perf = load_bench_perf()
+    result_path = tmp_path / "BENCH_perf.json"
+    foreign = {"scale": {"smoke": {"digest": "s"}}, "serving": {"x": 1},
+               "gray": {"x": 2}, "consistency": {"x": 3}}
+    result_path.write_text(json.dumps({**foreign, "smoke": {"wall_s": 9.0}}))
+    monkeypatch.setattr(bench_perf, "RESULT_PATH", result_path)
+    doc = {"smoke": {"wall_s": 1.0, "digest": "d"}}
+    monkeypatch.setattr(bench_perf, "run_full", lambda: doc)
+    monkeypatch.setattr(bench_perf, "assert_full", lambda result: result)
+    assert bench_perf.main([]) == 0
+    assert json.loads(result_path.read_text()) == {**foreign, **doc}

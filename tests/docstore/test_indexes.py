@@ -31,13 +31,14 @@ DOCS = [
 
 
 def make_pair():
-    """The same data in an indexed and an unindexed collection."""
-    indexed = Collection("jobs", use_planner=True)
+    """The same data in an indexed and an unindexed collection; with no
+    index to plan from, the unindexed one is the full-scan reference."""
+    indexed = Collection("jobs")
     indexed.create_index("job_id", unique=True)
     indexed.create_index("status")
     indexed.create_index("tenant")
     indexed.create_index("gpus")
-    scan = Collection("jobs", use_planner=False)
+    scan = Collection("jobs")
     for doc in DOCS:
         indexed.insert_one(dict(doc))
         scan.insert_one(dict(doc))

@@ -198,6 +198,32 @@ class TestDeadlines:
 
         assert run_call(kernel, caller()) == {"echo": 1}
 
+    def test_deadline_tie_fails_the_call_once(self, kernel):
+        """The handler finishes in the very instant the deadline fires.
+        The deadline timer was queued first, so it wins; the call's own
+        completion in the same instant must then be dropped, not settle
+        the call a second time."""
+        network = Network(kernel, latency=LatencyModel(base=0.0, jitter=0.0))
+        server = Server(kernel, network, "svc").start()
+
+        def handler(_request):
+            yield kernel.sleep(0.5)
+            return "just in time"
+
+        server.add_method("tie", handler)
+        outcomes = []
+
+        def caller():
+            try:
+                outcomes.append((yield network.call("svc", "tie", None,
+                                                    deadline=0.5)))
+            except DeadlineExceeded:
+                outcomes.append(("deadline", kernel.now))
+
+        run_call(kernel, caller())
+        kernel.run()  # drain the same-instant completion; must not raise
+        assert outcomes == [("deadline", 0.5)]
+
 
 class TestPartitions:
     def test_partition_blocks_call(self, kernel, network):

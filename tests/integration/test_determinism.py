@@ -1,5 +1,7 @@
 """Whole-platform determinism: one seed, one trace."""
 
+from repro.core import timeline_digest
+
 from .conftest import make_platform, manifest
 
 
@@ -9,10 +11,9 @@ def run_scenario(seed):
     job_id, doc = platform.run_process(
         client.run_to_completion(manifest(target_steps=80)), limit=50_000
     )
-    trace = [(round(r.time, 9), r.component, r.kind)
-             for r in platform.tracer.records]
-    history = [(h["status"], round(h["time"], 9)) for h in doc["status_history"]]
-    return job_id, history, trace, platform.kernel.now
+    statuses = [h["status"] for h in doc["status_history"]]
+    return (job_id, statuses, timeline_digest(platform, [doc]),
+            platform.kernel.now)
 
 
 class TestDeterminism:
@@ -25,7 +26,7 @@ class TestDeterminism:
         first = run_scenario(seed=123)
         second = run_scenario(seed=321)
         # Same outcome (COMPLETED), different micro-timing.
-        assert [s for s, _t in first[1]] == [s for s, _t in second[1]]
+        assert first[1] == second[1]
         assert first[3] != second[3]
 
     def test_chaos_run_is_reproducible(self):

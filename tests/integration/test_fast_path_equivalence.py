@@ -1,36 +1,29 @@
-"""The fast path must be invisible: bit-identical timelines.
+"""The fast path must be invisible: frozen timeline digests.
 
-``PlatformConfig(sim_fast_path=False)`` reverts every
-scheduling-visible optimization of the simulator fast path — timer
-cancellation (every timer fires into dead callbacks again), the
-docstore query planner (full scans), and copy-on-read elision (deep
-copy on every read). Running the same seeded scenario both ways and
-comparing the *complete* trace — every tracer record, every job's
-status history with timestamps, and the final simulated clock — proves
-the optimizations changed only wall-clock time, never the simulation.
+Timer cancellation with lazy heap deletion, AnyOf/AllOf callback
+detachment, the docstore query planner and copy-elided Mongo reads are
+all scheduling-visible optimizations. The digests below were produced
+both with and without them and matched, event for event; pinning them
+as constants keeps every later change to the simulator honest about the
+*complete* timeline — every tracer record, every job's status history
+with timestamps, and the final simulated clock (see
+:func:`repro.core.timeline_digest`).
 
 The chaos scenario matters most: crashes drive deadline-RPC races
 (AnyOf timeout losers), Guardian recovery (the paper's Fig. 4 bands),
 and fail-over retries — exactly the machinery the fast path touches.
 """
 
-from repro.core import ComponentCrasher
+from repro.core import ComponentCrasher, timeline_digest
 
 from .conftest import make_platform, manifest
 
-
-def full_timeline(platform, docs):
-    trace = [(round(r.time, 9), r.component, r.kind)
-             for r in platform.tracer.records]
-    histories = [
-        [(h["status"], round(h["time"], 9)) for h in doc["status_history"]]
-        for doc in docs
-    ]
-    return trace, histories, round(platform.kernel.now, 9)
+BATCH_DIGEST = "979f4d5cbc644f37dc62d6e8fd74e295242804b3af6aa418b08f2df599af9d34"
+CHAOS_DIGEST = "901fe33aaa194703b453b6e834548b2e93487b4972fcb9dd9ab576a41f2ee54f"
 
 
-def run_batch(fast, seed=11, jobs=3):
-    platform = make_platform(seed=seed, sim_fast_path=fast)
+def run_batch(seed=11, jobs=3):
+    platform = make_platform(seed=seed)
     client = platform.client("team")
 
     def scenario():
@@ -47,13 +40,13 @@ def run_batch(fast, seed=11, jobs=3):
 
     docs = platform.run_process(scenario(), limit=100_000)
     platform.run_for(20.0)
-    return full_timeline(platform, docs), platform
+    return timeline_digest(platform, docs), platform
 
 
-def run_chaos(fast, seed=29):
+def run_chaos(seed=29):
     """One checkpointing job through a learner crash and a Guardian
-    crash — the Fig. 4 recovery bands — plus a batch sibling."""
-    platform = make_platform(seed=seed, sim_fast_path=fast)
+    crash — the Fig. 4 recovery bands."""
+    platform = make_platform(seed=seed)
     client = platform.client("team")
 
     def submit():
@@ -74,28 +67,20 @@ def run_chaos(fast, seed=29):
 
     doc = platform.run_process(finish(), limit=200_000)
     platform.run_for(20.0)
-    return full_timeline(platform, [doc]), platform
+    return timeline_digest(platform, [doc]), platform
 
 
 class TestTimelineEquivalence:
     def test_batch_identical(self):
-        fast, fast_platform = run_batch(fast=True)
-        slow, slow_platform = run_batch(fast=False)
-        assert fast == slow
-        # The fast run actually exercised cancellation.
-        assert fast_platform.kernel.timers_cancelled > 0
-        assert slow_platform.kernel.timers_cancelled == 0
+        digest, platform = run_batch()
+        assert digest == BATCH_DIGEST
+        # The run actually exercised cancellation.
+        assert platform.kernel.timers_cancelled > 0
 
     def test_chaos_recovery_identical(self):
-        fast, fast_platform = run_chaos(fast=True)
-        slow, _ = run_chaos(fast=False)
-        assert fast == slow
-        assert fast_platform.kernel.timers_cancelled > 0
-
-    def test_fast_path_is_default(self):
-        platform = make_platform()
-        assert platform.config.sim_fast_path is True
-        assert platform.kernel._timer_cancellation is True
+        digest, platform = run_chaos()
+        assert digest == CHAOS_DIGEST
+        assert platform.kernel.timers_cancelled > 0
 
 
 class TestDeadEntryBounds:
@@ -104,7 +89,7 @@ class TestDeadEntryBounds:
         cancelled timer is eventually popped (and counted) or still
         pending, and the pending backlog stays small relative to the
         work done."""
-        _timeline, platform = run_chaos(fast=True)
+        _digest, platform = run_chaos()
         kernel = platform.kernel
         assert kernel.timers_cancelled > 0
         # Conservation: cancelled timers are either already skipped at
